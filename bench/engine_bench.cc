@@ -25,6 +25,15 @@
 //      drives its own engine + OPT-derived selector over the same database
 //      and the same ground truth; the recorded value is the objective's
 //      uncertainty functional after answering question i (q0 = prior).
+//
+//   5. long_session_s<j>_r<i> — the exact-evaluation layer on long
+//      cleaning sessions: SYN m=400 (values in [0, 800], catalog seed 1),
+//      k=10, OPT picks, 4 truthful answers per round (session j answers
+//      from sampled world j), each cleaned until the next round would join
+//      more than 13 objects into one joint component. The recorded value
+//      is round i's conditioned top-k enumeration (pw::TopKEnumerator,
+//      median of 3); the table also shows the largest component and the
+//      entropy.
 
 #include <algorithm>
 #include <cstdio>
@@ -42,6 +51,7 @@
 #include "data/synthetic.h"
 #include "engine/ranking_engine.h"
 #include "harness.h"
+#include "pw/topk_enumerator.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -288,6 +298,101 @@ int BenchSemanticsAblation(ptk::bench::JsonWriter* json) {
   return 0;
 }
 
+size_t LargestComponent(const ptk::pw::ConstraintSet& constraints) {
+  size_t largest = 0;
+  for (const auto& comp : constraints.Components()) {
+    largest = std::max(largest, comp.members.size());
+  }
+  return largest;
+}
+
+int BenchLongSession(ptk::bench::JsonWriter* json) {
+  const int k = 10;
+  const int sessions = 12;
+  const int pairs_per_round = 4;
+  const size_t component_limit = 13;
+  ptk::data::SynOptions syn;
+  syn.num_objects = ptk::bench::Scaled(400);
+  syn.value_range = 2.0 * syn.num_objects;
+  syn.seed = 1;
+  const ptk::model::Database db = ptk::data::MakeSynDataset(syn);
+  const ptk::pw::TopKEnumerator enumerator(db);
+
+  ptk::bench::Banner("Long sessions: conditioned top-k enumeration per round");
+  std::printf("SYN m=%d, k=%d, %d truthful OPT answers per round, until a "
+              "component would pass %zu objects\n\n",
+              db.num_objects(), k, pairs_per_round, component_limit);
+  ptk::bench::Row({"session", "round", "component", "enumerate ms",
+                   "entropy"},
+                  16);
+  for (int session = 1; session <= sessions; ++session) {
+    const std::vector<double> truth =
+        ptk::crowd::SampleWorldValues(db, session);
+    ptk::engine::RankingEngine::Options options;
+    options.k = k;
+    ptk::engine::RankingEngine engine(db, options);
+    std::unique_ptr<ptk::core::PairSelector> selector =
+        engine.MakeSelector(ptk::core::SelectorKind::kOpt);
+    if (selector == nullptr) return 1;
+    std::set<std::pair<ptk::model::ObjectId, ptk::model::ObjectId>> asked;
+    for (int round = 1;; ++round) {
+      std::vector<ptk::core::ScoredPair> pairs;
+      const int want = pairs_per_round + static_cast<int>(asked.size());
+      if (!selector->SelectPairs(want, &pairs).ok()) return 1;
+      ptk::pw::ConstraintSet next = engine.constraints();
+      std::vector<std::pair<ptk::model::ObjectId, ptk::model::ObjectId>>
+          answers;
+      for (const ptk::core::ScoredPair& pair : pairs) {
+        if (static_cast<int>(answers.size()) == pairs_per_round) break;
+        if (!asked.insert(std::minmax(pair.a, pair.b)).second) continue;
+        const ptk::model::ObjectId smaller =
+            truth[pair.a] < truth[pair.b] ? pair.a : pair.b;
+        const ptk::model::ObjectId larger =
+            smaller == pair.a ? pair.b : pair.a;
+        answers.emplace_back(smaller, larger);
+        next.Add(smaller, larger);
+      }
+      if (answers.empty() || LargestComponent(next) > component_limit) break;
+      for (const auto& [smaller, larger] : answers) {
+        ptk::engine::RankingEngine::FoldOutcome outcome;
+        if (!engine.Fold(smaller, larger, /*update_working=*/false, &outcome)
+                 .ok()) {
+          return 1;
+        }
+      }
+
+      std::vector<double> seconds;
+      double entropy = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        ptk::util::Stopwatch watch;
+        ptk::pw::TopKDistribution dist;
+        if (!enumerator
+                 .Enumerate(k, ptk::pw::OrderMode::kInsensitive,
+                            &engine.constraints(), {}, &dist)
+                 .ok()) {
+          return 1;
+        }
+        seconds.push_back(watch.ElapsedSeconds());
+        entropy = dist.Entropy();
+      }
+      std::sort(seconds.begin(), seconds.end());
+      char entropy_text[32];
+      std::snprintf(entropy_text, sizeof(entropy_text), "%.17g", entropy);
+      ptk::bench::Row(
+          {std::to_string(session), std::to_string(round),
+           std::to_string(LargestComponent(engine.constraints())),
+           ptk::bench::Fmt(seconds[1] * 1e3, 3), entropy_text},
+          16);
+      json->Record("long_session_s" + std::to_string(session) + "_r" +
+                       std::to_string(round),
+                   seconds[1], ptk::bench::JsonWriter::DefaultThreads(),
+                   db.num_objects(), k);
+    }
+  }
+  std::printf("\n");
+  return 0;
+}
+
 }  // namespace
 
 int main() {
@@ -296,5 +401,6 @@ int main() {
   if (int rc = BenchSessionRounds(&json)) return rc;
   if (int rc = BenchAdaptiveSteps(&json)) return rc;
   if (int rc = BenchSemanticsAblation(&json)) return rc;
+  if (int rc = BenchLongSession(&json)) return rc;
   return 0;
 }

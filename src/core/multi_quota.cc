@@ -100,7 +100,10 @@ double ComponentEntropy(
 
   double h = 0.0;
   for (const auto& [_, p] : pattern_prob) h += util::EntropyTerm(p);
-  return h;
+  // A certain pattern can carry 1 + ulp (each object's probabilities sum
+  // to 1 only up to rounding), whose term is a tiny negative; that is an
+  // entropy of 0, not the too-large sentinel.
+  return std::max(h, 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/quality.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "pw/joint_component.h"
@@ -37,6 +38,22 @@ double QualityEvaluator::ConstraintProbability(
     z *= joint.prob_constraints();
   }
   return z;
+}
+
+util::StatusOr<double> QualityEvaluator::ComponentProbability(
+    const pw::ConstraintSet& constraints, model::ObjectId oid) const {
+  for (auto& comp : constraints.Components()) {
+    if (std::binary_search(comp.members.begin(), comp.members.end(), oid)) {
+      pw::JointComponent::Options options;
+      options.max_states = enum_options_.max_states;
+      options.cancel = enum_options_.cancel;
+      const pw::JointComponent joint(*db_, std::move(comp.members),
+                                     std::move(comp.constraints), options);
+      if (!joint.status().ok()) return joint.status();
+      return joint.prob_constraints();
+    }
+  }
+  return 1.0;
 }
 
 util::Status QualityEvaluator::ExactExpectedImprovement(

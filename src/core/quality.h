@@ -9,6 +9,7 @@
 #include "pw/topk_distribution.h"
 #include "pw/topk_enumerator.h"
 #include "util/status.h"
+#include "util/statusor.h"
 
 namespace ptk::core {
 
@@ -37,6 +38,15 @@ class QualityEvaluator {
   /// Pr(all constraints hold): the product of the component normalizing
   /// constants (components are independent).
   double ConstraintProbability(const pw::ConstraintSet& constraints) const;
+
+  /// Z of the one component of `constraints` that contains `oid` (1 when
+  /// no constraint mentions it). The fold gate's check: the other
+  /// components were accepted with Z > 0 and are unchanged by a new pair.
+  /// The sweep is held to the enumerator options' max_states and cancel
+  /// token (ResourceExhausted / Cancelled), so a wide component cannot
+  /// take unbounded memory.
+  util::StatusOr<double> ComponentProbability(
+      const pw::ConstraintSet& constraints, model::ObjectId oid) const;
 
   /// Exact expected quality improvement EI(S_k | (x, y)) of Eqs. 6-7,
   /// optionally on top of an existing constraint set (in which case the

@@ -148,10 +148,14 @@ util::Status RankingEngine::Fold(model::ObjectId smaller,
 
   // Exact feasibility gate: Eq. 5 is undefined when no possible world
   // survives, so such answers are discarded (the conflict-resolution
-  // behaviour of Fig. 2's server).
+  // behaviour of Fig. 2's server). Only the component the pair joins can
+  // have lost its last world.
   pw::ConstraintSet candidate = constraints_;
   candidate.Add(smaller, larger);
-  if (evaluator_.ConstraintProbability(candidate) <= 0.0) {
+  const util::StatusOr<double> z =
+      evaluator_.ComponentProbability(candidate, smaller);
+  if (!z.ok()) return z.status().WithContext("Fold: feasibility gate");
+  if (*z <= 0.0) {
     folds_rejected_.fetch_add(1, std::memory_order_relaxed);
     metrics.folds_rejected->Add();
     *outcome = FoldOutcome::kContradictory;

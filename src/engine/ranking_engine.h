@@ -183,8 +183,10 @@ class RankingEngine {
   /// dropping approximation of AdaptiveCleaner) and refreshes the two
   /// objects in every built artifact — O(instances + height·fanout) work,
   /// independent of how many other objects the database holds. Returns a
-  /// non-OK status only for errors (invalid ids); rejected answers are
-  /// reported through `outcome`.
+  /// non-OK status only for errors (invalid ids, or a feasibility sweep
+  /// past `Options::enumerator`'s max_states or cancelled by its token,
+  /// which leaves the engine unchanged); rejected answers are reported
+  /// through `outcome`.
   util::Status Fold(model::ObjectId smaller, model::ObjectId larger,
                     bool update_working, FoldOutcome* outcome);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace ptk::model {
@@ -50,8 +51,14 @@ util::Status Database::Finalize(double tolerance) {
           "object " + std::to_string(obj.id()) +
           " probabilities sum to " + std::to_string(total) + ", not 1");
     }
-    // Renormalize exactly so possible-world products are clean.
-    for (Instance& inst : obj.instances_) inst.prob /= total;
+    // Renormalize so possible-world products are clean. A sum already
+    // within the rounding of one such division (n·ε) is left as it is, so
+    // Finalize is idempotent: a saved and reloaded database keeps its
+    // bits.
+    const double n = static_cast<double>(obj.instances_.size());
+    if (std::abs(total - 1.0) > n * std::numeric_limits<double>::epsilon()) {
+      for (Instance& inst : obj.instances_) inst.prob /= total;
+    }
   }
 
   BuildIndex();

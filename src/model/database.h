@@ -56,7 +56,9 @@ class Database {
   /// Validates every object (positive probabilities summing to 1 within
   /// `tolerance`, no duplicate values inside one object, at least one
   /// instance) and builds the sorted index. Probabilities are renormalized
-  /// exactly to 1 so downstream math is numerically clean.
+  /// to 1 so downstream math is numerically clean; an object whose sum is
+  /// already 1 within the rounding of that division keeps its bits, so
+  /// Finalize is idempotent (LoadCsv(SaveCsv(db)) reproduces db).
   util::Status Finalize(double tolerance = 1e-6);
 
   bool finalized() const { return finalized_; }

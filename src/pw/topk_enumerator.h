@@ -19,13 +19,17 @@ struct EnumeratorOptions {
   /// possible worlds with extremely low probabilities" device (§6.2).
   double epsilon = 0.0;
 
-  /// Hard cap on expanded states; exceeding it returns ResourceExhausted.
+  /// Hard cap on expanded states — frontier states summed over scan
+  /// positions plus the joint components' DP states (JointComponent::
+  /// dp_states); exceeding it returns ResourceExhausted.
   int64_t max_states = int64_t{50'000'000};
 
   /// Cooperative cancellation token (util::CancelSource::token()), polled
-  /// once per scan position; a set flag aborts the enumeration with
-  /// util::Status::Cancelled. Null means "never cancelled". The serving
-  /// runtime's deadline watchdog fires this mid-enumeration.
+  /// once per scan position, every 4096 frontier states within one, and
+  /// inside the joint components' DP sweeps; a set flag aborts the
+  /// enumeration with util::Status::Cancelled. Null means "never
+  /// cancelled". The serving runtime's deadline watchdog fires this
+  /// mid-enumeration.
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -39,7 +43,9 @@ struct EnumeratorOptions {
 ///
 /// Exact when epsilon == 0; with pruning, the missing probability mass is
 /// tracked exactly because pruned states form an antichain of disjoint
-/// events.
+/// events. The frontier lives in flat arrays (keys inline, stride k - 1,
+/// open-addressing index) iterated in insertion order, so every sum has a
+/// fixed order; a component's factors are read from its W table.
 class TopKEnumerator {
  public:
   explicit TopKEnumerator(const model::Database& db);

@@ -428,6 +428,31 @@ TEST(RankingEngineTest, FoldMatchesMarginalFoldFormula) {
   }
 }
 
+TEST(RankingEngineTest, FoldGateHonoursMaxStates) {
+  // A star (one hub ranked above every leaf) with L leaves has 2^L + 1
+  // order filters; at 2 instances per object its sweep covers
+  // (2^L + 1) · 2(L + 1) DP states: 910 at 6 leaves, 2064 at 7.
+  model::Database db;
+  db.AddObject({{0.5, 0.5}, {1.5, 0.5}});
+  for (int leaf = 1; leaf <= 8; ++leaf) {
+    db.AddObject({{10.0 + leaf, 0.5}, {50.0 + leaf, 0.5}});
+  }
+  ASSERT_TRUE(db.Finalize().ok());
+  engine::RankingEngine::Options options;
+  options.k = 3;
+  options.enumerator.max_states = 2000;
+  engine::RankingEngine eng(db, options);
+  engine::RankingEngine::FoldOutcome outcome;
+  for (model::ObjectId leaf = 1; leaf <= 6; ++leaf) {
+    ASSERT_TRUE(eng.Fold(0, leaf, /*update_working=*/false, &outcome).ok());
+    ASSERT_EQ(outcome, engine::RankingEngine::FoldOutcome::kApplied);
+  }
+  const util::Status s = eng.Fold(0, 7, /*update_working=*/false, &outcome);
+  EXPECT_EQ(s.code(), util::Status::Code::kResourceExhausted);
+  EXPECT_EQ(eng.version(), 6u);
+  EXPECT_EQ(eng.constraints().size(), 6);
+}
+
 // Satellite 2 (engine side): Distribution/Quality are memoized per
 // constraint-set version — repeated reads cost zero extra enumerations.
 TEST(RankingEngineTest, DistributionIsMemoizedPerVersion) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "pw/possible_world.h"
 #include "pw/topk_enumerator.h"
 #include "test_util.h"
@@ -80,6 +84,43 @@ TEST_P(EnumeratorSweep, MatchesExactEngineWithChainAndFork) {
   }
 }
 
+TEST_P(EnumeratorSweep, MatchesExactEngineWithRandomConsistentConstraints) {
+  // Answers read off one sampled world are always consistent; their
+  // components take whatever shape the random pairs give them.
+  const model::Database db = testing::RandomDb(7, 3, GetParam() + 3000);
+  util::Rng rng(GetParam() + 4000);
+  std::vector<model::Position> truth(db.num_objects());
+  for (model::ObjectId o = 0; o < db.num_objects(); ++o) {
+    const auto& insts = db.object(o).instances();
+    const auto& inst = insts[rng.UniformInt(0, insts.size() - 1)];
+    truth[o] = db.PositionOf({o, inst.iid});
+  }
+  pw::ConstraintSet cons;
+  const int answers = 2 + static_cast<int>(GetParam() % 6);
+  for (int i = 0; i < answers; ++i) {
+    const auto a = static_cast<model::ObjectId>(rng.UniformInt(0, 6));
+    const auto b = static_cast<model::ObjectId>(rng.UniformInt(0, 6));
+    if (a == b) continue;
+    if (truth[a] < truth[b]) {
+      cons.Add(a, b);
+    } else {
+      cons.Add(b, a);
+    }
+  }
+  pw::TopKEnumerator enumerator(db);
+  pw::ExactEngine engine(db);
+  for (const pw::OrderMode order :
+       {pw::OrderMode::kInsensitive, pw::OrderMode::kSensitive}) {
+    for (int k : {1, 2, 4, 7}) {
+      pw::TopKDistribution fast, exact;
+      ASSERT_TRUE(enumerator.Enumerate(k, order, &cons, {}, &fast).ok());
+      ASSERT_TRUE(engine.TopKDistributionOf(k, order, &cons, &exact).ok());
+      ExpectSameDistribution(fast, exact, 1e-10);
+      EXPECT_NEAR(fast.Entropy(), exact.Entropy(), 1e-9);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomDatabases, EnumeratorSweep,
                          ::testing::Range(uint64_t{0}, uint64_t{10}));
 
@@ -145,6 +186,64 @@ TEST(Enumerator, KEqualsObjectsGivesSingleInsensitiveResult) {
   ASSERT_EQ(dist.size(), 1u);
   EXPECT_NEAR(dist.ProbOf({0, 1, 2, 3, 4}), 1.0, 1e-9);
   EXPECT_NEAR(dist.Entropy(), 0.0, 1e-9);
+}
+
+TEST(Enumerator, CancelFromAnotherThreadStopsLongEnumeration) {
+  // The heavy-skew catalog of Stress.SelectionOnHeavySkew: its
+  // unconditioned top-5 enumeration runs for many seconds uncancelled.
+  model::Database db;
+  util::Rng rng(8);
+  for (int o = 0; o < 60; ++o) {
+    const double base = rng.Uniform(0.0, 30.0);
+    db.AddObject({{base, 0.98}, {base + 40.0, 0.015}, {base + 80.0, 0.005}});
+  }
+  ASSERT_TRUE(db.Finalize().ok());
+  pw::TopKEnumerator enumerator(db);
+  std::atomic<bool> cancel{false};
+  pw::EnumeratorOptions opts;
+  opts.cancel = &cancel;
+  std::thread watchdog([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel.store(true, std::memory_order_relaxed);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  pw::TopKDistribution dist;
+  const util::Status s =
+      enumerator.Enumerate(5, pw::OrderMode::kInsensitive, nullptr, opts,
+                           &dist);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  watchdog.join();
+  EXPECT_EQ(s.code(), util::Status::Code::kCancelled);
+  EXPECT_LT(seconds, 1.0);
+}
+
+TEST(Enumerator, ComponentDpStatesCountAgainstMaxStates) {
+  // One antichain-like component (a star with 9 leaves) has 2^9 + 1
+  // filters; a budget below its DP states stops before the scan.
+  model::Database db;
+  db.AddObject({{0.5, 0.5}, {1.5, 0.5}});
+  for (int o = 1; o < 12; ++o) {
+    db.AddObject({{10.0 + o, 0.25}, {50.0 + o, 0.75}});
+  }
+  ASSERT_TRUE(db.Finalize().ok());
+  pw::ConstraintSet cons;
+  for (model::ObjectId leaf = 1; leaf < 10; ++leaf) cons.Add(0, leaf);
+  pw::TopKEnumerator enumerator(db);
+  pw::EnumeratorOptions opts;
+  opts.max_states = 500;
+  pw::TopKDistribution dist;
+  const util::Status s =
+      enumerator.Enumerate(3, pw::OrderMode::kInsensitive, &cons, opts, &dist);
+  EXPECT_EQ(s.code(), util::Status::Code::kResourceExhausted);
+  EXPECT_NE(s.message().find("order filters"), std::string::npos)
+      << s.ToString();
+  opts.max_states = 1'000'000;
+  EXPECT_TRUE(enumerator
+                  .Enumerate(3, pw::OrderMode::kInsensitive, &cons, opts,
+                             &dist)
+                  .ok());
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 # persisting server mid-stream, restart with --recover, diff the rest of
 # the transcript against an uninterrupted golden run), and an ASan/UBSan
 # build running the
-# robustness, engine-equivalence, simd kernel, and persistence tests and a
+# robustness, engine-equivalence, simd kernel, persistence and
+# exact-evaluation (joint component, top-k enumerator) tests and a
 # timed fuzz smoke pass over the committed seed corpus.
 # Usage: tools/check.sh [fuzz_seconds]
 set -euo pipefail
@@ -100,12 +101,14 @@ printf 'oid,value,prob\n0,20,0.2\n0,23,0.8\n1,21,0.2\n1,24,0.8\n2,22,0.6\n2,25,0
   > /tmp/ptk_serve_smoke.out
 diff tools/serve_smoke.golden /tmp/ptk_serve_smoke.out
 # --metrics must export every ptk_serve_* family, including the ones this
-# clean transcript never increments (shed, deadline misses).
+# clean transcript never increments (shed, deadline misses), and the
+# exact-evaluation families its conditioned reads feed.
 for fam in ptk_serve_sessions_open ptk_serve_sessions_total \
     ptk_serve_session_bytes \
     ptk_serve_queue_depth ptk_serve_inflight ptk_serve_requests_total \
     ptk_serve_shed_total ptk_serve_deadline_miss_total \
-    ptk_serve_request_seconds; do
+    ptk_serve_request_seconds \
+    ptk_pw_component_members ptk_pw_dp_states_total; do
   grep -q "^# TYPE $fam" /tmp/ptk_serve_metrics.txt \
     || { echo "missing metric family: $fam"; exit 1; }
 done
@@ -234,7 +237,8 @@ cmake --build build-asan -j "$JOBS" \
   --target load_csv_fuzz constraint_fold_fuzz wal_replay_fuzz frame_fuzz \
   robustness_test data_test session_test engine_test simd_test \
   simd_property_test persist_test epoch_test shared_sessions_test \
-  codec_test runtime_test semantics_core_test semantics_property_test
+  codec_test runtime_test semantics_core_test semantics_property_test \
+  joint_component_test topk_enumerator_test
 # epoch_test's reader hammer turns a premature reclamation into a
 # use-after-free; shared_sessions_test's close-all drain turns a node copy
 # that never reaches the limbo list into a leak (LeakSanitizer).
@@ -244,7 +248,8 @@ cmake --build build-asan -j "$JOBS" \
   && ./tests/persist_test && ./tests/epoch_test \
   && ./tests/shared_sessions_test \
   && ./tests/codec_test && ./tests/runtime_test \
-  && ./tests/semantics_core_test && ./tests/semantics_property_test)
+  && ./tests/semantics_core_test && ./tests/semantics_property_test \
+  && ./tests/joint_component_test && ./tests/topk_enumerator_test)
 
 run_fuzz() {
   local target="$1" corpus="$2"
